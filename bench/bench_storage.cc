@@ -306,12 +306,12 @@ int main(int argc, char** argv) {
 
   double batched_seconds = TimedIntoRegistry("wal_group_commits", [&] {
     for (int64_t g = 0; g < kGroups; ++g) {
-      wdb.Begin();
+      WriteBatch batch;
       for (int64_t i = 0; i < kGroup; ++i) {
         int64_t x = next_key++;
-        wdb.Insert("W", {Value(x / 10), Value(x)});
+        batch.Insert("W", {Value(x / 10), Value(x)});
       }
-      wdb.Commit();
+      wdb.Commit(batch);
     }
   });
   uint64_t batched_fsyncs = io.SnapshotCounts(/*reset=*/true)["wal_fsync"];

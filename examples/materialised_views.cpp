@@ -1,5 +1,5 @@
-// Materialised-view lifecycle: build a factorised view, persist it to
-// disk, reload it into a fresh database, keep a sorted view up to date
+// Materialised-view lifecycle: build a factorised view, persist the
+// database to a snapshot, reopen it, keep a sorted view up to date
 // under inserts/deletes, and inspect per-node statistics and
 // subexpression-sharing compression.
 //
@@ -15,25 +15,24 @@ using namespace fdb;
 
 int main(int argc, char** argv) {
   int scale = argc > 1 ? std::atoi(argv[1]) : 2;
-  std::string path = "/tmp/fdb_r1_view.fdb";
+  std::string path = "/tmp/fdb_r1_view.fdbs";
 
   // --- build and persist ---------------------------------------------------
   Database db;
   int64_t singletons = InstallWorkload(&db, SmallParams(scale), "R1");
   std::cout << "built view R1: " << singletons << " singletons ("
             << db.view("R1")->CountTuples() << " tuples represented)\n";
-  SaveFactorisation(*db.view("R1"), db.registry(), path);
+  db.Save(path);
   std::cout << "saved to " << path << "\n";
 
-  // --- reload into a fresh database and query ------------------------------
-  Database fresh;
-  fresh.AddView("R1", LoadFactorisation(path, &fresh.registry()));
+  // --- reopen as a fresh database and query --------------------------------
+  Database fresh = Database::Open(path);
   std::remove(path.c_str());
   FdbEngine engine(&fresh);
   FdbResult top = engine.ExecuteSql(
       "SELECT customer, sum(price) AS revenue FROM R1 GROUP BY customer "
       "ORDER BY revenue DESC LIMIT 3");
-  std::cout << "\ntop customers from the reloaded view:\n"
+  std::cout << "\ntop customers from the reopened view:\n"
             << top.flat.ToString(fresh.registry());
 
   // --- per-node statistics --------------------------------------------------

@@ -68,6 +68,7 @@
 #include <fstream>
 #include <memory>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,6 +209,8 @@ int main(int argc, char** argv) {
   bool timing = false;
   std::shared_ptr<obs::Trace> last_trace;
   serve::Client client;
+  // The open \begin transaction, if any.
+  std::optional<WriteBatch> txn;
 
   // No SA_RESTART: Ctrl-C interrupts the blocking read under getline so
   // the loop exits and the cleanup below (sampler, log sink) still runs.
@@ -515,6 +518,11 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("\\wal ", 0) == 0) {
+      if (txn) {
+        std::cout << "error: txn: cannot enable the WAL inside an open "
+                     "transaction\n";
+        continue;
+      }
       try {
         db.EnableWal(line.substr(5));
         std::cout << "wal: logging to " << db.WalStatus().path << "\n";
@@ -531,29 +539,36 @@ int main(int argc, char** argv) {
         std::cout << "wal: " << st.path << (st.broken ? " [BROKEN]" : "")
                   << "\n  committed groups: " << st.committed_groups
                   << ", log bytes: " << st.wal_bytes << "\n  txn: "
-                  << (st.in_txn ? "open" : "none") << ", pending ops: "
-                  << st.pending_ops << " (" << st.pending_bytes
+                  << (txn ? "open" : "none") << ", pending ops: "
+                  << (txn ? txn->size() : 0) << " ("
+                  << (txn ? storage::Wal::PayloadBytes(txn->ops()) : 0)
                   << " bytes)\n";
       }
       continue;
     }
     if (line == "\\begin" || line == "\\commit" || line == "\\rollback") {
-      try {
-        if (line == "\\begin") {
-          db.Begin();
-          std::cout << "txn: begun\n";
-        } else if (line == "\\commit") {
-          uint64_t seq = db.Commit();
+      if (line == "\\begin" && txn) {
+        std::cout << "error: txn: a transaction is already open\n";
+      } else if (line == "\\begin") {
+        txn.emplace();
+        std::cout << "txn: begun\n";
+      } else if (!txn) {
+        std::cout << "error: txn: no open transaction\n";
+      } else if (line == "\\rollback") {
+        txn.reset();
+        std::cout << "txn: rolled back\n";
+      } else {
+        try {
+          // On failure the batch stays open: retry \commit or \rollback.
+          uint64_t seq = db.Commit(*txn);
+          txn.reset();
           std::cout << "txn: committed"
                     << (seq != 0 ? " (group #" + std::to_string(seq) + ")"
                                  : " (empty)")
                     << "\n";
-        } else {
-          db.Rollback();
-          std::cout << "txn: rolled back\n";
+        } catch (const std::exception& e) {
+          std::cout << "error: " << e.what() << "\n";
         }
-      } catch (const std::exception& e) {
-        std::cout << "error: " << e.what() << "\n";
       }
       continue;
     }
@@ -565,12 +580,24 @@ int main(int argc, char** argv) {
         continue;
       }
       try {
+        WriteBatch one;
         if (line[1] == 'i') {
-          db.Insert(view, tuple);
+          one.Insert(view, tuple);
         } else {
-          db.Delete(view, tuple);
+          one.Delete(view, tuple);
         }
-        std::cout << (db.WalStatus().in_txn ? "buffered\n" : "applied\n");
+        if (txn) {
+          db.Validate(one);  // eager, so \commit cannot fail on a bad op
+          if (line[1] == 'i') {
+            txn->Insert(view, std::move(tuple));
+          } else {
+            txn->Delete(view, std::move(tuple));
+          }
+          std::cout << "buffered\n";
+        } else {
+          db.Commit(one);
+          std::cout << "applied\n";
+        }
       } catch (const std::exception& e) {
         std::cout << "error: " << e.what() << "\n";
       }
@@ -584,6 +611,7 @@ int main(int argc, char** argv) {
           std::cout << "saved to " << path << "\n";
         } else {
           db = Database::Open(path);
+          txn.reset();  // its ops named the replaced database's views
           std::cout << "opened " << path << " — views:";
           for (const std::string& v : db.ViewNames()) std::cout << " " << v;
           std::cout << "; relations:";

@@ -127,10 +127,10 @@ int main(int argc, char** argv) {
     fdb::Database db = SmallDb();
     std::string path = (tmp / "seed_wal.fdbs").string();
     db.EnableWal(path);
-    db.Begin();
-    db.Insert("V", {fdb::Value(int64_t{100}), fdb::Value(int64_t{1000})});
-    db.Delete("V", {fdb::Value(int64_t{0}), fdb::Value(int64_t{0})});
-    db.Commit();
+    fdb::WriteBatch batch;
+    batch.Insert("V", {fdb::Value(int64_t{100}), fdb::Value(int64_t{1000})});
+    batch.Delete("V", {fdb::Value(int64_t{0}), fdb::Value(int64_t{0})});
+    db.Commit(batch);
     db.Insert("V", {fdb::Value(int64_t{101}), fdb::Value(int64_t{1001})});
     std::string wal = ReadFile(fdb::storage::WalPath(path));
     // The harness reads the stamp prefix the log must validate against;

@@ -246,8 +246,8 @@ struct FileEnvelope {
   std::string bytes;
 };
 
-/// Reads and validates one chain file's envelope; section CRCs are
-/// verified for version >= 3. Returns nullopt (with issues) on damage.
+/// Reads and validates one chain file's envelope, section CRCs
+/// included. Returns nullopt (with issues) on damage.
 std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
                                              Report* out) {
   using namespace storage;
@@ -267,8 +267,7 @@ std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
   std::memcpy(&env.header, env.bytes.data(), sizeof(FileHeader));
   const FileHeader& h = env.header;
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.endian != kEndianProbe || h.version < kMinVersion ||
-      h.version > kVersion) {
+      h.endian != kEndianProbe || h.version != kVersion) {
     out->Add("chain-envelope", path + ": bad magic/version/endianness");
     return std::nullopt;
   }
@@ -293,8 +292,7 @@ std::optional<FileEnvelope> ReadFileEnvelope(const std::string& path,
                path + ": section " + std::to_string(e.kind) + " out of range");
       return std::nullopt;
     }
-    if (h.version >= 3 &&
-        Crc32(env.bytes.data() + e.offset, e.size) != e.crc32) {
+    if (Crc32(env.bytes.data() + e.offset, e.size) != e.crc32) {
       out->Add("section-crc", path + ": section " + std::to_string(e.kind) +
                                   " payload crc mismatch");
     }

@@ -155,7 +155,7 @@ class FTree {
   /// Renames the aggregate attribute of node `u` to fresh id `new_id`.
   void RenameAggregate(int u, AttrId new_id);
 
-  /// Deserialisation support (core/io.cc, storage/): overwrites liveness,
+  /// Deserialisation support (Restore, storage/): overwrites liveness,
   /// parentage, child order and the root list wholesale. All vectors must
   /// be sized to num_nodes(); callers restoring untrusted input must run
   /// ValidateWiring() afterwards.
@@ -164,9 +164,9 @@ class FTree {
                      const std::vector<std::vector<int>>& children,
                      std::vector<int> roots);
 
-  /// One deserialised node as parsed by a reader (core/io.cc text format,
-  /// storage/ snapshots): either an aggregate (agg set) or an atomic class
-  /// (attrs; empty means a tombstoned node that lost its class).
+  /// One deserialised node as parsed by the snapshot reader (storage/):
+  /// either an aggregate (agg set) or an atomic class (attrs; empty means
+  /// a tombstoned node that lost its class).
   struct RestoredNode {
     bool alive = true;
     int parent = -1;

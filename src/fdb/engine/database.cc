@@ -47,8 +47,6 @@ Database& Database::operator=(const Database& other) {
     base::MutexLock g(&txn_mu_);
     wal_.reset();
     wal_base_.clear();
-    in_txn_ = false;
-    pending_.clear();
   }
   snapshot_ = other.snapshot_;
   std::shared_ptr<const ViewMap> v;
@@ -85,9 +83,6 @@ Database::Database(Database&& other) noexcept
     base::MutexLock g(&other.txn_mu_);
     wal_ = std::move(other.wal_);
     wal_base_ = std::exchange(other.wal_base_, {});
-    in_txn_ = std::exchange(other.in_txn_, false);
-    pending_ = std::move(other.pending_);
-    other.pending_.clear();
   }
   {
     base::MutexLock g(&other.sampler_mu_);
@@ -116,21 +111,14 @@ Database& Database::operator=(Database&& other) noexcept {
   {
     std::unique_ptr<storage::Wal> w;
     std::string base;
-    bool in_txn = false;
-    std::vector<storage::WalOp> pending;
     {
       base::MutexLock g(&other.txn_mu_);
       w = std::move(other.wal_);
       base = std::exchange(other.wal_base_, {});
-      in_txn = std::exchange(other.in_txn_, false);
-      pending = std::move(other.pending_);
-      other.pending_.clear();
     }
     base::MutexLock g(&txn_mu_);
     wal_ = std::move(w);
     wal_base_ = std::move(base);
-    in_txn_ = in_txn;
-    pending_ = std::move(pending);
   }
   snapshot_ = std::move(other.snapshot_);
   {
@@ -244,15 +232,11 @@ bool Database::UpdateView(const std::string& name,
   return true;
 }
 
-// --- transactions / write-ahead logging -----------------------------------
+// --- write batches / write-ahead logging ----------------------------------
 
 void Database::EnableWal(const std::string& raw_path) {
   std::string path = storage::CanonicalSnapshotPath(raw_path);
   base::MutexLock t(&txn_mu_);
-  if (in_txn_) {
-    throw std::invalid_argument(
-        "txn: cannot enable the WAL inside an open transaction");
-  }
   // Fold the current state (including anything a previous log replay
   // contributed) into the chain first, so the fresh log applies on top
   // of exactly what is durable.
@@ -270,10 +254,6 @@ void Database::EnableWal(const std::string& raw_path) {
 
 void Database::DisableWal() {
   base::MutexLock t(&txn_mu_);
-  if (in_txn_) {
-    throw std::invalid_argument(
-        "txn: cannot disable the WAL inside an open transaction");
-  }
   if (wal_ == nullptr) return;
   // Fold outstanding groups into the chain; after that the log holds
   // nothing the chain does not, so the file can go.
@@ -293,15 +273,12 @@ storage::WalStatus Database::WalStatus() const {
   base::MutexLock t(&txn_mu_);
   storage::WalStatus s;
   s.enabled = wal_ != nullptr;
-  s.in_txn = in_txn_;
   if (wal_ != nullptr) {
     s.broken = wal_->broken();
     s.path = wal_->path();
     s.committed_groups = wal_->last_seq();
     s.wal_bytes = wal_->bytes();
   }
-  s.pending_ops = pending_.size();
-  s.pending_bytes = storage::Wal::PayloadBytes(pending_);
   return s;
 }
 
@@ -311,66 +288,31 @@ std::optional<storage::PersistState> Database::PersistSnapshot() const {
   return *persist_;
 }
 
-void Database::Begin() {
-  base::MutexLock t(&txn_mu_);
-  if (in_txn_) {
-    throw std::invalid_argument("txn: a transaction is already open");
+void Database::Validate(const WriteBatch& batch) const {
+  for (const storage::WalOp& op : batch.ops()) {
+    std::shared_ptr<const Factorisation> f = ViewSnapshot(op.view);
+    if (f == nullptr) {
+      throw std::invalid_argument("txn: no view named '" + op.view + "'");
+    }
+    ContainsTuple(*f, op.tuple);  // throws on a shape/arity mismatch
   }
-  in_txn_ = true;
 }
 
-uint64_t Database::Commit() {
-  base::MutexLock t(&txn_mu_);
-  if (!in_txn_) throw std::invalid_argument("txn: no open transaction");
-  uint64_t seq = CommitGroupLocked(&pending_);  // throws → txn stays open
-  in_txn_ = false;
-  return seq;
-}
-
-void Database::Rollback() {
-  base::MutexLock t(&txn_mu_);
-  if (!in_txn_) throw std::invalid_argument("txn: no open transaction");
-  pending_.clear();
-  in_txn_ = false;
-}
-
-void Database::Insert(const std::string& view, const Tuple& tuple) {
-  base::MutexLock t(&txn_mu_);
-  BufferOpLocked(storage::WalOp{storage::WalOp::kInsert, view, tuple});
-}
-
-void Database::Delete(const std::string& view, const Tuple& tuple) {
-  base::MutexLock t(&txn_mu_);
-  BufferOpLocked(storage::WalOp{storage::WalOp::kDelete, view, tuple});
-}
-
-void Database::BufferOpLocked(storage::WalOp op) {
-  std::shared_ptr<const Factorisation> f = ViewSnapshot(op.view);
-  if (f == nullptr) {
-    throw std::invalid_argument("txn: no view named '" + op.view + "'");
-  }
-  // Shape/arity validation up front, so Commit's apply cannot fail after
-  // the group is already durable in the log.
-  ContainsTuple(*f, op.tuple);
-  if (in_txn_) {
-    pending_.push_back(std::move(op));
-    return;
-  }
-  std::vector<storage::WalOp> one;
-  one.push_back(std::move(op));
-  CommitGroupLocked(&one);  // autocommit: a one-op durable group
-}
-
-uint64_t Database::CommitGroupLocked(std::vector<storage::WalOp>* ops) {
-  if (ops->empty()) return 0;
+uint64_t Database::Commit(const WriteBatch& batch) {
+  if (batch.size() == 0) return 0;
   static obs::Counter& commit_groups = obs::Registry::Instance().GetCounter(
       "wal.commit_groups", "groups", "commit groups applied");
   static obs::Histogram& group_ops = obs::Registry::Instance().GetHistogram(
       "wal.commit_group_ops", "ops", "operations per commit group");
   static obs::Histogram& append_hist = obs::Registry::Instance().GetHistogram(
       "wal.append_ns", "ns", "WAL frame append+fsync wall time");
+  base::MutexLock t(&txn_mu_);
+  // Validated up front, against the views the apply below will rebuild
+  // (txn_mu_ keeps other commits out), so the apply cannot fail once the
+  // group is durable in the log.
+  Validate(batch);
   commit_groups.Inc();
-  group_ops.Record(ops->size());
+  group_ops.Record(batch.size());
   // Durable first: the group is acknowledged only once its frame is
   // fsync'd. A log failure throws here, before any in-memory change.
   uint64_t seq = 0;
@@ -381,14 +323,14 @@ uint64_t Database::CommitGroupLocked(std::vector<storage::WalOp>* ops) {
     int64_t t0 = obs::LogEnabled() ? obs::NowNs() : -1;
     {
       obs::ScopedLatency latency(append_hist);
-      seq = wal_->Append(*ops);
+      seq = wal_->Append(batch.ops());
     }
     if (t0 >= 0) {
       int64_t dur = obs::NowNs() - t0;
       obs::EventLog& log = obs::EventLog::Instance();
       if (dur >= log.wal_stall_ns()) {
         log.Emit(obs::EventType::kWalStall,
-                 {obs::F("seq", seq), obs::F("ops", ops->size()),
+                 {obs::F("seq", seq), obs::F("ops", batch.size()),
                   obs::F("stall_ms", static_cast<double>(dur) / 1e6)});
       }
     }
@@ -397,15 +339,26 @@ uint64_t Database::CommitGroupLocked(std::vector<storage::WalOp>* ops) {
   // paths is rebuilt once per group, not once per tuple, and the delta
   // checkpointer later sees one coalesced diff.
   std::map<std::string, std::vector<BatchOp>> per_view;
-  for (storage::WalOp& op : *ops) {
+  for (const storage::WalOp& op : batch.ops()) {
     per_view[op.view].push_back(
-        BatchOp{op.kind == storage::WalOp::kInsert, std::move(op.tuple)});
+        BatchOp{op.kind == storage::WalOp::kInsert, op.tuple});
   }
-  for (auto& [name, batch] : per_view) {
-    UpdateView(name, [&batch](Factorisation* f) { ApplyBatch(f, batch); });
+  for (auto& [name, ops] : per_view) {
+    UpdateView(name, [&ops](Factorisation* f) { ApplyBatch(f, ops); });
   }
-  ops->clear();
   return seq;
+}
+
+void Database::Insert(const std::string& view, const Tuple& tuple) {
+  WriteBatch one;
+  one.Insert(view, tuple);
+  Commit(one);
+}
+
+void Database::Delete(const std::string& view, const Tuple& tuple) {
+  WriteBatch one;
+  one.Delete(view, tuple);
+  Commit(one);
 }
 
 void Database::StartMetricsSampler(int64_t interval_ms) {

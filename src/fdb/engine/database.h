@@ -4,10 +4,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
-#include <vector>
-
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fdb/base/thread_annotations.h"
 #include "fdb/core/factorisation.h"
@@ -26,6 +26,26 @@ namespace storage {
 class SnapshotMapping;
 struct SnapshotState;
 }  // namespace storage
+
+/// A caller-owned group of view mutations (paper §1/§6: views take
+/// updates in batches). Building one touches no database state;
+/// Database::Commit applies it atomically, so any number of callers may
+/// fill their own batches concurrently.
+class WriteBatch {
+ public:
+  void Insert(const std::string& view, Tuple tuple) {
+    ops_.push_back({storage::WalOp::kInsert, view, std::move(tuple)});
+  }
+  void Delete(const std::string& view, Tuple tuple) {
+    ops_.push_back({storage::WalOp::kDelete, view, std::move(tuple)});
+  }
+  size_t size() const { return ops_.size(); }
+  void clear() { ops_.clear(); }
+  const std::vector<storage::WalOp>& ops() const { return ops_; }
+
+ private:
+  std::vector<storage::WalOp> ops_;
+};
 
 /// A database: an attribute registry shared by all relations, flat base
 /// relations, and materialised views stored as factorisations (the
@@ -137,13 +157,13 @@ class Database {
   /// std::invalid_argument on I/O failure.
   storage::CheckpointInfo Checkpoint(const std::string& path) const;
 
-  // --- durability: write-ahead logging and transactions ------------------
+  // --- durability: write-ahead logging and write batches ----------------
   //
   // EnableWal(path) binds a write-ahead log (`<path>.wal`) to the
   // snapshot chain at `path`: the current state is checkpointed into the
-  // chain, and every committed mutation is then made durable by a single
-  // appended, CRC32-framed log record (one write + one fsync per commit
-  // group) before it is applied in memory. Open(path) replays the chain
+  // chain, and every committed WriteBatch is then made durable by a
+  // single appended, CRC32-framed log record (one write + one fsync per
+  // batch) before it is applied in memory. Open(path) replays the chain
   // and then the log, so a crash loses at most the in-flight commit and
   // never an acknowledged one. Save/Checkpoint of `path` fold the logged
   // groups into the chain and reset the log.
@@ -151,40 +171,37 @@ class Database {
   // Scope: the log records view tuple mutations (Insert/Delete) only.
   // Schema changes — AddRelation, AddView, a view's shape — are not
   // logged; checkpoint after DDL, and only mutate views that exist in
-  // the chain. Commit groups are durably atomic; concurrent readers see
-  // each view's update as it is published (per-view visibility).
+  // the chain. Commits are serialised and durably atomic; concurrent
+  // readers see each view's update as it is published (per-view
+  // visibility).
 
   /// Binds the WAL as described above. Checkpoints into `path` first
-  /// (throws on I/O failure, leaving durability as it was). Must not be
-  /// called inside an open transaction.
+  /// (throws on I/O failure, leaving durability as it was).
   void EnableWal(const std::string& path);
   /// Folds any logged groups into the chain, then unbinds and removes
   /// the (now empty) log file.
   void DisableWal();
   bool wal_enabled() const;
-  /// Transaction/log state (pending ops, durable groups, log size).
+  /// Log state (durable groups, log size).
   storage::WalStatus WalStatus() const;
 
-  /// Opens a transaction: subsequent Insert/Delete calls buffer into one
-  /// commit group. Throws if one is already open (no nesting).
-  void Begin();
-  /// Makes the buffered group durable (one WAL frame, one fsync), then
-  /// applies it — each affected view updated in a single batch. Returns
-  /// the group's log sequence number (0 when nothing was pending or no
-  /// WAL is bound). On a log I/O failure throws and leaves the
-  /// transaction open, nothing applied: retry Commit() or Rollback().
-  uint64_t Commit();
-  /// Discards the buffered group.
-  void Rollback();
+  /// Throws std::invalid_argument if any op of `batch` names a view that
+  /// does not exist or carries a tuple that does not fit its shape.
+  void Validate(const WriteBatch& batch) const;
+  /// Commits `batch` atomically: validates every op against the live
+  /// views (all or nothing), makes the batch durable (one WAL frame, one
+  /// fsync), then applies it — each affected view updated in a single
+  /// ApplyBatch. Returns the group's log sequence number (0 when the
+  /// batch is empty or no WAL is bound). On a validation or log I/O
+  /// failure throws with nothing applied; the batch is never modified,
+  /// so the caller may retry it.
+  uint64_t Commit(const WriteBatch& batch);
 
-  /// Inserts `tuple` into view `view` — buffered if a transaction is
-  /// open, otherwise an autocommitted single-op group. Validates
-  /// eagerly: throws std::invalid_argument if the view does not exist or
-  /// the tuple does not fit its shape (so Commit cannot fail on apply).
-  /// Inserting an existing tuple is a no-op.
+  /// Inserts `tuple` into view `view` as a one-op Commit. Inserting an
+  /// existing tuple is a no-op.
   void Insert(const std::string& view, const Tuple& tuple);
-  /// Deletes `tuple` from view `view`; same buffering and validation as
-  /// Insert. Deleting an absent tuple is a no-op.
+  /// Deletes `tuple` from view `view` as a one-op Commit. Deleting an
+  /// absent tuple is a no-op.
   void Delete(const std::string& view, const Tuple& tuple);
 
   /// Opens a snapshot written by Save(): mmaps the file, decodes catalog,
@@ -249,14 +266,6 @@ class Database {
   void PublishView(const std::string& name,
                    std::shared_ptr<const Factorisation> fp);
 
-  // Validates `op` against the live view (throws), then buffers it into
-  // the open transaction or autocommits it as a one-op group.
-  void BufferOpLocked(storage::WalOp op) REQUIRES(txn_mu_);
-  // Appends `ops` as one WAL frame (when a log is bound) and applies
-  // them, one ApplyBatch per affected view; clears `ops`. Throws without
-  // applying if the log append fails.
-  uint64_t CommitGroupLocked(std::vector<storage::WalOp>* ops)
-      REQUIRES(txn_mu_);
   // Save/Checkpoint internals, callable with txn_mu_ already held
   // (EnableWal checkpoints under it). Lock order: txn_mu_ → persist_mu_,
   // txn_mu_ → writer_mu_.
@@ -293,19 +302,17 @@ class Database {
   mutable base::Mutex persist_mu_;
   mutable std::shared_ptr<storage::PersistState> persist_
       GUARDED_BY(persist_mu_);
-  // Transaction/WAL state. txn_mu_ serialises Begin/Commit/Rollback,
-  // autocommits, EnableWal/DisableWal and the public Save/Checkpoint (a
-  // fold must not interleave with a commit's log append). The log itself
-  // is mutable because a (const) Save/Checkpoint folds and re-stamps it
-  // — like persist_, it is durability bookkeeping, not logical state.
+  // WAL state. txn_mu_ serialises Commit, EnableWal/DisableWal and the
+  // public Save/Checkpoint (a fold must not interleave with a commit's
+  // log append). The log itself is mutable because a (const)
+  // Save/Checkpoint folds and re-stamps it — like persist_, it is
+  // durability bookkeeping, not logical state.
   // Not copied (two databases appending to one log would corrupt it);
   // moves transfer it.
   mutable base::Mutex txn_mu_ ACQUIRED_BEFORE(persist_mu_, writer_mu_);
   mutable std::unique_ptr<storage::Wal> wal_ GUARDED_BY(txn_mu_);
   /// Canonical snapshot path the log is bound to.
   std::string wal_base_ GUARDED_BY(txn_mu_);
-  bool in_txn_ GUARDED_BY(txn_mu_) = false;
-  std::vector<storage::WalOp> pending_ GUARDED_BY(txn_mu_);
   // Metrics-history sampler (StartMetricsSampler). The shared_ptr's
   // destructor stops and joins the thread, so dropping the last owner —
   // including Database destruction — shuts it down cleanly. Not copied

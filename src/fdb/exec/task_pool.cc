@@ -94,9 +94,11 @@ struct ForJob {
       int64_t hi = std::min(n, lo + grain);
       // A tripped token short-circuits remaining chunks: they are still
       // claimed and counted (the completion wait needs every chunk
-      // accounted for) but their bodies never run.
+      // accounted for) but their bodies never run. Check() also reads
+      // the deadline, so limits hold however small the chunks are.
       if (token == nullptr || !token->cancelled()) {
         try {
+          if (token != nullptr) token->Check();
           CancelScope scope(token);
           (*body)(part, lo, hi);
         } catch (...) {
@@ -262,11 +264,15 @@ void TaskPool::ParallelFor(
     Submit([job] { job->RunChunks(); });
   }
   job->RunChunks();
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(job->mu);
     job->cv.wait(lk, [&] { return job->all_done; });
-    if (job->error != nullptr) std::rethrow_exception(job->error);
+    // Taken out of the job so the exception is released on this thread,
+    // not by whichever helper drops the last job reference.
+    error = std::move(job->error);
   }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 int64_t TaskPool::ApproxPendingTasks() const {

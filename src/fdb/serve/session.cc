@@ -424,19 +424,20 @@ void Session::HandleWrite(bool is_insert, const std::string& view, Tuple tuple,
   if (in_txn_) {
     // Buffered session-locally; validation happens at COMMIT, where a bad
     // op rolls the whole transaction back.
-    txn_ops_.push_back({is_insert, view, std::move(tuple)});
-    stats_->txn_ops.store(static_cast<int64_t>(txn_ops_.size()),
+    if (is_insert) {
+      batch_.Insert(view, std::move(tuple));
+    } else {
+      batch_.Delete(view, std::move(tuple));
+    }
+    stats_->txn_ops.store(static_cast<int64_t>(batch_.size()),
                           std::memory_order_relaxed);
     AppendDone(out, DoneStats{});
     return;
   }
-  {
-    base::MutexLock g(ctx_.write_mu);
-    if (is_insert) {
-      ctx_.db->Insert(view, tuple);
-    } else {
-      ctx_.db->Delete(view, tuple);
-    }
+  if (is_insert) {
+    ctx_.db->Insert(view, tuple);
+  } else {
+    ctx_.db->Delete(view, tuple);
   }
   stats_->writes.fetch_add(1, std::memory_order_relaxed);
   WritesCounter().Inc();
@@ -455,45 +456,31 @@ void Session::HandleBegin(std::vector<uint8_t>* out) {
   AppendDone(out, DoneStats{});
 }
 
+void Session::EndTxn() {
+  in_txn_ = false;
+  batch_.clear();
+  stats_->in_txn.store(false, std::memory_order_relaxed);
+  stats_->txn_ops.store(0, std::memory_order_relaxed);
+}
+
 void Session::HandleCommit(std::vector<uint8_t>* out) {
   if (!in_txn_) {
     AppendError(out, kErrTxn, "COMMIT outside a transaction");
     return;
   }
-  size_t nops = txn_ops_.size();
+  size_t nops = batch_.size();
   try {
-    // One Database transaction per wire COMMIT: the write mutex keeps
-    // other sessions' writes out of this open transaction, and the WAL
-    // makes the whole group one durable commit (one fsync).
-    base::MutexLock g(ctx_.write_mu);
-    ctx_.db->Begin();
-    try {
-      for (const TxnOp& op : txn_ops_) {
-        if (op.is_insert) {
-          ctx_.db->Insert(op.view, op.tuple);
-        } else {
-          ctx_.db->Delete(op.view, op.tuple);
-        }
-      }
-      ctx_.db->Commit();
-    } catch (...) {
-      ctx_.db->Rollback();
-      throw;
-    }
+    // One WAL commit group (one fsync) per wire COMMIT, atomic against
+    // every other session's writes.
+    ctx_.db->Commit(batch_);
   } catch (const std::exception& e) {
-    in_txn_ = false;
-    txn_ops_.clear();
-    stats_->in_txn.store(false, std::memory_order_relaxed);
-    stats_->txn_ops.store(0, std::memory_order_relaxed);
+    EndTxn();
     stats_->rollbacks.fetch_add(1, std::memory_order_relaxed);
     AppendError(out, kErrTxn,
                 std::string("transaction rolled back: ") + e.what());
     return;
   }
-  in_txn_ = false;
-  txn_ops_.clear();
-  stats_->in_txn.store(false, std::memory_order_relaxed);
-  stats_->txn_ops.store(0, std::memory_order_relaxed);
+  EndTxn();
   stats_->commits.fetch_add(1, std::memory_order_relaxed);
   stats_->writes.fetch_add(static_cast<int64_t>(nops),
                            std::memory_order_relaxed);
@@ -508,10 +495,7 @@ void Session::HandleRollback(std::vector<uint8_t>* out) {
     AppendError(out, kErrTxn, "ROLLBACK outside a transaction");
     return;
   }
-  in_txn_ = false;
-  txn_ops_.clear();
-  stats_->in_txn.store(false, std::memory_order_relaxed);
-  stats_->txn_ops.store(0, std::memory_order_relaxed);
+  EndTxn();
   stats_->rollbacks.fetch_add(1, std::memory_order_relaxed);
   AppendDone(out, DoneStats{});
 }

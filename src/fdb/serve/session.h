@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "fdb/base/thread_annotations.h"
 #include "fdb/engine/database.h"
 #include "fdb/exec/cancel.h"
 #include "fdb/serve/admission.h"
@@ -21,21 +20,15 @@ namespace serve {
 struct ServeContext {
   Database* db = nullptr;
   AdmissionController* admission = nullptr;
-  /// Serialises *all* Database writes issued by sessions. Database's own
-  /// txn_mu_ makes individual calls safe, but a transaction replay
-  /// (Begin → ops → Commit) must be atomic against other sessions'
-  /// autocommit writes — an interleaved Insert would be swallowed into
-  /// the open transaction.
-  base::Mutex* write_mu = nullptr;
   std::atomic<bool>* draining = nullptr;
 };
 
 /// One client connection: reads statements off the wire, runs them
 /// through admission + the engine with this session's cancellation token
-/// armed, and streams typed result frames back. Owns the per-session WAL
-/// transaction state: BEGIN buffers writes session-locally; COMMIT
-/// replays them as one Database transaction (one WAL commit group, one
-/// fsync) under the server write mutex; ROLLBACK drops them.
+/// armed, and streams typed result frames back. Owns the session's
+/// transaction: BEGIN starts a session-local WriteBatch; COMMIT hands it
+/// to Database::Commit (one WAL commit group, one fsync, atomic against
+/// every other session's writes); ROLLBACK drops it.
 ///
 /// Reads pin view snapshots for exactly one statement: the engine takes
 /// `ViewSnapshot`s when a query starts and drops them when it finishes,
@@ -70,18 +63,15 @@ class Session {
   void HandleStatement(const std::string& text, std::vector<uint8_t>* out);
 
  private:
-  struct TxnOp {
-    bool is_insert = false;
-    std::string view;
-    Tuple tuple;
-  };
-
   void RunQuery(const std::string& text, std::vector<uint8_t>* out);
   void HandleWrite(bool is_insert, const std::string& view, Tuple tuple,
                    std::vector<uint8_t>* out);
   void HandleBegin(std::vector<uint8_t>* out);
   void HandleCommit(std::vector<uint8_t>* out);
   void HandleRollback(std::vector<uint8_t>* out);
+  // Leaves the transaction: drops the batch and resets the session's
+  // fdb.sessions transaction columns.
+  void EndTxn();
   void AppendError(std::vector<uint8_t>* out, uint8_t code,
                    const std::string& message);
   void AppendDone(std::vector<uint8_t>* out, const DoneStats& stats);
@@ -93,7 +83,7 @@ class Session {
   exec::CancelToken token_;
   std::atomic<bool> draining_{false};
   bool in_txn_ = false;
-  std::vector<TxnOp> txn_ops_;
+  WriteBatch batch_;
 };
 
 /// Parses "INSERT INTO v VALUES (1, 2.5, 'x')" / "DELETE FROM v VALUES

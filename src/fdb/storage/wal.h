@@ -127,16 +127,13 @@ class Wal {
   bool broken_ = false;      ///< Reset failed; log must be re-created
 };
 
-/// A point-in-time report of a Database's transaction/WAL state
+/// A point-in-time report of a Database's WAL state
 /// (Database::WalStatus; surfaced by sql_shell's \wal-status).
 struct WalStatus {
   bool enabled = false;  ///< a log is bound (EnableWal)
-  bool in_txn = false;   ///< a Begin() is open
   bool broken = false;   ///< the log failed a reset; re-enable to recover
   std::string path;      ///< the log file, when enabled
   uint64_t committed_groups = 0;  ///< frames durable since the last fold
-  uint64_t pending_ops = 0;       ///< buffered ops of the open transaction
-  uint64_t pending_bytes = 0;     ///< their serialised payload size
   uint64_t wal_bytes = 0;         ///< durable log size on disk
 };
 

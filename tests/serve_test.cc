@@ -137,7 +137,6 @@ class SessionLimitTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FillDb(&db_, 4);
-    write_mu_ = std::make_unique<base::Mutex>();
   }
 
   std::unique_ptr<Session> MakeSession(const AdmissionConfig& cfg) {
@@ -145,14 +144,12 @@ class SessionLimitTest : public ::testing::Test {
     ServeContext ctx;
     ctx.db = &db_;
     ctx.admission = admission_.get();
-    ctx.write_mu = write_mu_.get();
     ctx.draining = &draining_;
     return std::make_unique<Session>(ctx, -1, "test");
   }
 
   Database db_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<base::Mutex> write_mu_;
   std::atomic<bool> draining_{false};
 };
 

@@ -493,27 +493,6 @@ TEST(StorageCheckpointTest, DagBigIntAndRemapCasesSurviveDeltaChains) {
   std::remove(mono.c_str());
 }
 
-TEST(StorageCheckpointTest, LegacyVersion1SnapshotStillOpens) {
-  Database db = MakePathDb(80, "ckv");
-  std::string bytes = storage::SerialiseDatabase(db, /*version=*/1);
-  // The header says version 1 and the reader accepts it.
-  uint32_t version;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  EXPECT_EQ(version, 1u);
-  Database fresh = Database::OpenSnapshot(
-      storage::SnapshotMapping::FromBuffer(bytes.data(), bytes.size()));
-  EXPECT_EQ(fresh.view("U")->CountTuples(), 80);
-  EXPECT_EQ(FlattenCsv(*fresh.view("U"), fresh.registry()),
-            FlattenCsv(*db.view("U"), db.registry()));
-  // Via a file, too (Database::Open tolerates version-1 bases and simply
-  // finds no meta/epoch, so any delta would be treated as stale).
-  std::string path = TempPath("ckpt_v1.fdbs");
-  WriteFile(path, bytes);
-  Database from_file = Database::Open(path);
-  EXPECT_EQ(from_file.view("U")->CountTuples(), 80);
-  std::remove(path.c_str());
-}
-
 TEST(StorageCheckpointTest, StreamedSaveMatchesBufferSerialisation) {
   // The file and buffer writers share one streaming code path; their
   // output must agree byte for byte apart from the random epoch stamp.

@@ -92,7 +92,7 @@ TEST(TaskPoolTest, NestedParallelForCompletes) {
   std::atomic<int64_t> total{0};
   pool.ParallelFor(8, 1, [&](int, int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      int64_t inner = 0;
+      std::atomic<int64_t> inner{0};
       pool.ParallelFor(50, 5, [&](int, int64_t l, int64_t h) {
         // The inner caller participates in its own range, so this cannot
         // deadlock even with every worker busy in the outer loop.

@@ -120,19 +120,20 @@ std::pair<size_t, size_t> RunScript(Database* db, const std::string& path,
   try {
     for (const Step& st : script) {
       switch (st.kind) {
-        case Step::kCommit:
-          db->Begin();
+        case Step::kCommit: {
+          WriteBatch batch;
           for (const BatchOp& op : st.ops) {
             if (op.insert) {
-              db->Insert("V", op.tuple);
+              batch.Insert("V", op.tuple);
             } else {
-              db->Delete("V", op.tuple);
+              batch.Delete("V", op.tuple);
             }
           }
           ++attempted;
-          db->Commit();
+          db->Commit(batch);
           ++acked;
           break;
+        }
         case Step::kCheckpoint:
           db->Checkpoint(path);
           break;

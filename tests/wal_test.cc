@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fdb/core/build.h"
@@ -85,10 +89,10 @@ TEST(WalTest, AutocommitIsDurable) {
 TEST(WalTest, CommitGroupIsDurableAndAtomic) {
   std::string path = TempPath("wal_commit.fdbs");
   Database db = MakeWalDb(path, 50, "wc");
-  db.Begin();
-  for (int64_t i = 0; i < 20; ++i) db.Insert("V", Row({200, 2000 + i}));
-  db.Delete("V", Row({1, 11}));
-  EXPECT_GT(db.Commit(), 0u);
+  WriteBatch batch;
+  for (int64_t i = 0; i < 20; ++i) batch.Insert("V", Row({200, 2000 + i}));
+  batch.Delete("V", Row({1, 11}));
+  EXPECT_GT(db.Commit(batch), 0u);
 
   Database re = Database::Open(path);
   EXPECT_EQ(re.view("V")->CountTuples(), 50 - 1 + 20);
@@ -96,12 +100,13 @@ TEST(WalTest, CommitGroupIsDurableAndAtomic) {
             FlattenCsv(*db.view("V"), db.registry()));
 }
 
-TEST(WalTest, RollbackDiscardsPendingOps) {
+TEST(WalTest, DroppedBatchLeavesNothing) {
   std::string path = TempPath("wal_rollback.fdbs");
   Database db = MakeWalDb(path, 50, "wr");
-  db.Begin();
-  db.Insert("V", Row({300, 3000}));
-  db.Rollback();
+  {
+    WriteBatch batch;
+    batch.Insert("V", Row({300, 3000}));
+  }
   EXPECT_FALSE(ContainsTuple(*db.view("V"), Row({300, 3000})));
   Database re = Database::Open(path);
   EXPECT_EQ(re.view("V")->CountTuples(), 50);
@@ -111,9 +116,9 @@ TEST(WalTest, UncommittedGroupIsNotReplayed) {
   std::string path = TempPath("wal_uncommitted.fdbs");
   Database db = MakeWalDb(path, 50, "wu");
   db.Insert("V", Row({9, 90}));
-  db.Begin();
-  db.Insert("V", Row({400, 4000}));
-  // No Commit: the process "dies" with the group buffered in memory only.
+  WriteBatch batch;
+  batch.Insert("V", Row({400, 4000}));
+  // No Commit: the process "dies" with the batch held in memory only.
   Database re = Database::Open(path);
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({9, 90})));
   EXPECT_FALSE(ContainsTuple(*re.view("V"), Row({400, 4000})));
@@ -220,11 +225,11 @@ TEST(WalTest, StringTuplesRoundTrip) {
   db.AddView("V", FactoriseRelation(r, {a, b}));
   db.EnableWal(path);
 
-  db.Begin();
-  db.Insert("V", {Value("gamma"), Value(int64_t{3})});
-  db.Insert("V", {Value("delta with spaces \x01\x02"), Value(int64_t{4})});
-  db.Delete("V", {Value("alpha"), Value(int64_t{1})});
-  db.Commit();
+  WriteBatch batch;
+  batch.Insert("V", {Value("gamma"), Value(int64_t{3})});
+  batch.Insert("V", {Value("delta with spaces \x01\x02"), Value(int64_t{4})});
+  batch.Delete("V", {Value("alpha"), Value(int64_t{1})});
+  db.Commit(batch);
 
   Database re = Database::Open(path);
   EXPECT_TRUE(
@@ -236,20 +241,20 @@ TEST(WalTest, StringTuplesRoundTrip) {
   EXPECT_EQ(re.view("V")->CountTuples(), 3);
 }
 
-TEST(WalTest, CommitFsyncFailureLeavesTxnOpenAndRetryable) {
+TEST(WalTest, CommitFsyncFailureLeavesBatchRetryable) {
   WalGuard guard;
   std::string path = TempPath("wal_fsync_fail.fdbs");
   Database db = MakeWalDb(path, 50, "wfs");
-  db.Begin();
-  db.Insert("V", Row({123, 1234}));
+  WriteBatch batch;
+  batch.Insert("V", Row({123, 1234}));
   storage::IoEnv::Instance().SetFailpoints("wal_fsync:1");
-  EXPECT_THROW(db.Commit(), std::invalid_argument);
+  EXPECT_THROW(db.Commit(batch), std::invalid_argument);
   // The group was not acknowledged and must not have been applied.
   EXPECT_FALSE(ContainsTuple(*db.view("V"), Row({123, 1234})));
-  EXPECT_TRUE(db.WalStatus().in_txn);
+  EXPECT_EQ(batch.size(), 1u);
 
   storage::IoEnv::Instance().ClearFailpoints();
-  EXPECT_GT(db.Commit(), 0u);  // retry: torn tail truncated, then appended
+  EXPECT_GT(db.Commit(batch), 0u);  // retry: torn tail truncated, appended
   EXPECT_TRUE(ContainsTuple(*db.view("V"), Row({123, 1234})));
   Database re = Database::Open(path);
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({123, 1234})));
@@ -261,47 +266,56 @@ TEST(WalTest, OneFsyncPerCommitGroup) {
   Database db = MakeWalDb(path, 50, "wof");
   storage::IoEnv& io = storage::IoEnv::Instance();
   io.ResetCounts();
-  db.Begin();
-  for (int64_t i = 0; i < 100; ++i) db.Insert("V", Row({77, 10000 + i}));
-  db.Commit();
+  WriteBatch batch;
+  for (int64_t i = 0; i < 100; ++i) batch.Insert("V", Row({77, 10000 + i}));
+  db.Commit(batch);
   EXPECT_EQ(io.Count("wal_fsync"), 1u);
   EXPECT_EQ(io.Count("wal_write"), 1u);
 }
 
-TEST(WalTest, WalStatusReportsPendingAndCommitted) {
+TEST(WalTest, WalStatusReportsCommittedGroups) {
   std::string path = TempPath("wal_status.fdbs");
   Database db = MakeWalDb(path, 50, "wst");
   storage::WalStatus s0 = db.WalStatus();
   EXPECT_TRUE(s0.enabled);
-  EXPECT_FALSE(s0.in_txn);
   EXPECT_EQ(s0.committed_groups, 0u);
-  EXPECT_EQ(s0.pending_ops, 0u);
 
-  db.Begin();
-  db.Insert("V", Row({42, 420}));
-  db.Insert("V", Row({42, 421}));
+  WriteBatch batch;
+  batch.Insert("V", Row({42, 420}));
+  batch.Insert("V", Row({42, 421}));
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_GT(storage::Wal::PayloadBytes(batch.ops()), 0u);
+  EXPECT_EQ(db.WalStatus().committed_groups, 0u);  // nothing logged yet
+
+  db.Commit(batch);
   storage::WalStatus s1 = db.WalStatus();
-  EXPECT_TRUE(s1.in_txn);
-  EXPECT_EQ(s1.pending_ops, 2u);
-  EXPECT_GT(s1.pending_bytes, 0u);
-
-  db.Commit();
-  storage::WalStatus s2 = db.WalStatus();
-  EXPECT_FALSE(s2.in_txn);
-  EXPECT_EQ(s2.pending_ops, 0u);
-  EXPECT_EQ(s2.committed_groups, 1u);
-  EXPECT_GT(s2.wal_bytes, static_cast<uint64_t>(sizeof(storage::WalHeader)));
+  EXPECT_EQ(s1.committed_groups, 1u);
+  EXPECT_GT(s1.wal_bytes, static_cast<uint64_t>(sizeof(storage::WalHeader)));
 }
 
-TEST(WalTest, ValidationIsEagerAndLeavesNothingBehind) {
+TEST(WalTest, BatchWithOneBadOpIsRejectedWhole) {
   std::string path = TempPath("wal_validate.fdbs");
   Database db = MakeWalDb(path, 50, "wv");
   EXPECT_THROW(db.Insert("nope", Row({1, 2})), std::invalid_argument);
   EXPECT_THROW(db.Insert("V", Row({1, 2, 3})), std::invalid_argument);
-  db.Begin();
-  db.Insert("V", Row({1000, 10000}));
-  EXPECT_THROW(db.Insert("V", Row({1})), std::invalid_argument);
-  db.Commit();
+  for (const Tuple& bad : {Row({1}), Row({1, 2, 3})}) {
+    WriteBatch batch;
+    batch.Insert("V", Row({1000, 10000}));
+    batch.Insert("V", bad);
+    EXPECT_THROW(db.Commit(batch), std::invalid_argument);
+    EXPECT_EQ(batch.size(), 2u);
+  }
+  WriteBatch unknown;
+  unknown.Insert("V", Row({1000, 10000}));
+  unknown.Delete("nope", Row({1, 2}));
+  EXPECT_THROW(db.Commit(unknown), std::invalid_argument);
+  // Nothing of the rejected batches was applied or logged.
+  EXPECT_FALSE(ContainsTuple(*db.view("V"), Row({1000, 10000})));
+  EXPECT_EQ(db.WalStatus().committed_groups, 0u);
+
+  WriteBatch good;
+  good.Insert("V", Row({1000, 10000}));
+  db.Commit(good);
   Database re = Database::Open(path);
   EXPECT_EQ(re.view("V")->CountTuples(), 51);
 }
@@ -317,31 +331,100 @@ TEST(WalTest, DisableWalFoldsAndRemovesTheLog) {
   EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({11, 111})));
 }
 
-TEST(WalTest, TransactionStateErrors) {
-  std::string path = TempPath("wal_errors.fdbs");
-  Database db = MakeWalDb(path, 10, "we");
-  EXPECT_THROW(db.Commit(), std::invalid_argument);
-  EXPECT_THROW(db.Rollback(), std::invalid_argument);
-  db.Begin();
-  EXPECT_THROW(db.Begin(), std::invalid_argument);
-  EXPECT_THROW(db.EnableWal(path), std::invalid_argument);
-  EXPECT_THROW(db.DisableWal(), std::invalid_argument);
-  EXPECT_EQ(db.Commit(), 0u);  // empty group: nothing to log
-}
-
-TEST(WalTest, TransactionsWorkWithoutAWal) {
-  // Begin/Commit batching is useful purely in memory too (one rebuild
-  // per union per group); there is just no durability.
+TEST(WalTest, BatchesWorkWithoutAWal) {
+  // Batching is useful purely in memory too (one rebuild per union per
+  // batch); there is just no durability.
   Database db;
   AttrId a = db.Attr("nw_a"), b = db.Attr("nw_b");
   Relation r{RelSchema({a, b})};
   r.Add(Row({1, 2}));
   db.AddView("V", FactoriseRelation(r, {a, b}));
-  db.Begin();
-  db.Insert("V", Row({3, 4}));
-  db.Insert("V", Row({5, 6}));
-  EXPECT_EQ(db.Commit(), 0u);
+  WriteBatch batch;
+  batch.Insert("V", Row({3, 4}));
+  batch.Insert("V", Row({5, 6}));
+  EXPECT_EQ(db.Commit(batch), 0u);
   EXPECT_EQ(db.view("V")->CountTuples(), 3);
+  EXPECT_EQ(db.Commit(WriteBatch()), 0u);  // empty batch: a no-op
+}
+
+TEST(WalTest, ConcurrentCommitsStayAtomic) {
+  // One thread commits K-op batches while two threads autocommit single
+  // inserts, with no lock above Database: no reader may see part of a
+  // batch, every log frame holds one whole batch or one autocommit, and
+  // recovery brings back every acknowledged op.
+  constexpr int64_t kBatches = 30, kOps = 8, kSingles = 60;
+  std::string path = TempPath("wal_concurrent.fdbs");
+  Database db = MakeWalDb(path, 50, "wcc");
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> torn{0};
+
+  // Batch i inserts (1000 + i, 0..K-1); single inserts use keys >= 5000.
+  std::thread reader([&] {
+    while (!done.load()) {
+      std::map<int64_t, int64_t> per_key;
+      Relation flat = db.ViewSnapshot("V")->Flatten();
+      for (const Tuple& t : flat.rows()) {
+        int64_t key = t[0].as_int();
+        if (key >= 1000 && key < 1000 + kBatches) ++per_key[key];
+      }
+      for (const auto& [key, n] : per_key) {
+        if (n != kOps) torn.fetch_add(1);
+      }
+    }
+  });
+  std::thread batcher([&] {
+    for (int64_t i = 0; i < kBatches; ++i) {
+      WriteBatch batch;
+      for (int64_t j = 0; j < kOps; ++j) batch.Insert("V", Row({1000 + i, j}));
+      db.Commit(batch);
+    }
+  });
+  std::vector<std::thread> singles;
+  for (int64_t w = 0; w < 2; ++w) {
+    singles.emplace_back([&db, w] {
+      for (int64_t m = 0; m < kSingles; ++m) {
+        db.Insert("V", Row({5000 + w, m}));
+      }
+    });
+  }
+  batcher.join();
+  for (std::thread& t : singles) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0);
+
+  storage::WalHeader header;
+  std::string wal = ReadFile(storage::WalPath(path));
+  ASSERT_GE(wal.size(), sizeof(header));
+  std::memcpy(&header, wal.data(), sizeof(header));
+  std::optional<storage::WalRecovery> rec =
+      storage::ReadWal(path, header.epoch, header.chain_pos);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_FALSE(rec->truncated_tail);
+  int64_t batch_frames = 0, single_frames = 0;
+  for (const std::vector<storage::WalOp>& group : rec->groups) {
+    if (group.size() == static_cast<size_t>(kOps)) {
+      ++batch_frames;
+    } else {
+      EXPECT_EQ(group.size(), 1u);
+      ++single_frames;
+    }
+  }
+  EXPECT_EQ(batch_frames, kBatches);
+  EXPECT_EQ(single_frames, 2 * kSingles);
+
+  Database re = Database::Open(path);
+  for (int64_t i = 0; i < kBatches; ++i) {
+    for (int64_t j = 0; j < kOps; ++j) {
+      EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({1000 + i, j})));
+    }
+  }
+  for (int64_t w = 0; w < 2; ++w) {
+    for (int64_t m = 0; m < kSingles; ++m) {
+      EXPECT_TRUE(ContainsTuple(*re.view("V"), Row({5000 + w, m})));
+    }
+  }
+  EXPECT_EQ(re.view("V")->CountTuples(), 50 + kBatches * kOps + 2 * kSingles);
 }
 
 TEST(WalTest, CorruptPayloadInValidFrameNamesPathAndOffset) {
